@@ -78,7 +78,7 @@ func TestRunCheckedCleanExitsZero(t *testing.T) {
 // (only the machine banner, which names the engine, may differ).
 func TestRunEngineFlag(t *testing.T) {
 	outputs := map[string]string{}
-	for _, eng := range []string{"event", "polling"} {
+	for _, eng := range []string{"event", "cycle"} {
 		var out, errw bytes.Buffer
 		args := []string{"-bench", "mcf", "-machine", "mtvp", "-contexts", "4",
 			"-check", "-insts", "3000", "-engine", eng}
@@ -98,9 +98,16 @@ func TestRunEngineFlag(t *testing.T) {
 		}
 		outputs[eng] = strings.Join(kept, "\n")
 	}
-	if outputs["event"] != outputs["polling"] {
-		t.Fatalf("engine outputs diverge:\nevent:\n%s\npolling:\n%s",
-			outputs["event"], outputs["polling"])
+	if outputs["event"] != outputs["cycle"] {
+		t.Fatalf("engine outputs diverge:\nevent:\n%s\ncycle:\n%s",
+			outputs["event"], outputs["cycle"])
+	}
+	// The retired scheduler name is rejected, not aliased.
+	var out, errw bytes.Buffer
+	if code := run([]string{"-bench", "mcf", "-engine", "polling"}, &out, &errw); code != exitErr ||
+		!strings.Contains(errw.String(), "want event or cycle") {
+		t.Fatalf("-engine polling: exit %d, stderr %q; want a usage error naming event and cycle",
+			code, errw.String())
 	}
 }
 

@@ -369,21 +369,12 @@ type Config struct {
 	Faults   FaultParams
 	Recovery RecoveryParams
 
-	// DisableFastForward turns off the engine's idle-cycle fast-forward
-	// (pipeline/engine.go). Fast-forward is a pure host-time optimization —
-	// every simulated outcome is identical with it on or off (test-enforced)
-	// — so this knob exists only for A/B validation and debugging. The
-	// MTVP_NO_FASTFWD environment variable forces the same behaviour.
-	DisableFastForward bool
-
-	// DisableEventQueue selects the legacy polling scheduler — the
-	// per-cycle nextWake quiescence scan — instead of the event-driven
-	// calendar in which every stage enqueues its own next activation
-	// (pipeline/events.go). Like fast-forward, the event queue is a pure
-	// host-time optimization: simulated outcomes are bit-identical either
-	// way (test-enforced), so this knob exists only for A/B validation and
-	// debugging. The MTVP_NO_EVENTQ environment variable forces the same
-	// behaviour.
+	// DisableEventQueue runs the plain per-cycle loop, which executes every
+	// cycle, instead of the event calendar, in which every stage enqueues
+	// its own next activation and idle cycles are skipped
+	// (pipeline/events.go). The calendar is a pure host-time optimization:
+	// simulated outcomes are bit-identical either way (test-enforced), so
+	// this knob exists only as the A/B reference and for debugging.
 	DisableEventQueue bool
 }
 

@@ -55,22 +55,10 @@ func WriteTrace(w io.Writer, name string, spans []Span, end time.Time) error {
 	}
 	sort.Strings(workers)
 	tidOf := map[string]int{"": coordinatorTID}
+	tw.NameTrack("campaign "+name, coordinatorTID, "coordinator")
 	for i, w := range workers {
 		tidOf[w] = coordinatorTID + 1 + i
-	}
-
-	tw.Emit(telemetry.TraceEvent{Name: "process_name", Ph: "M", PID: 0,
-		Args: map[string]any{"name": "campaign " + name}})
-	tw.Emit(telemetry.TraceEvent{Name: "thread_name", Ph: "M", PID: 0, TID: coordinatorTID,
-		Args: map[string]any{"name": "coordinator"}})
-	tw.Emit(telemetry.TraceEvent{Name: "thread_sort_index", Ph: "M", PID: 0, TID: coordinatorTID,
-		Args: map[string]any{"sort_index": 0}})
-	for i, w := range workers {
-		tid := coordinatorTID + 1 + i
-		tw.Emit(telemetry.TraceEvent{Name: "thread_name", Ph: "M", PID: 0, TID: tid,
-			Args: map[string]any{"name": "worker " + w}})
-		tw.Emit(telemetry.TraceEvent{Name: "thread_sort_index", Ph: "M", PID: 0, TID: tid,
-			Args: map[string]any{"sort_index": tid}})
+		tw.NameTrack("", tidOf[w], "worker "+w)
 	}
 
 	// Flow arrow ids must be unique per flow; derive from span insertion

@@ -1,14 +1,16 @@
 package pipeline
 
-import "fmt"
+import (
+	"fmt"
 
-// The event-driven engine core. PR 5's fast-forward proved the machine can
-// predict its own wake edges with a per-cycle quiescence scan (nextWake);
-// this file inverts that loop: every stage enqueues its own next activation
-// into a calendar — completions, store-buffer window flushes, dispatch
-// delays, fetch unblocks, spawn holds, squash/kill edges — and the engine
-// advances directly to the earliest scheduled event instead of rescanning
-// every queue on every idle cycle.
+	"mtvp/internal/stats"
+)
+
+// The event-driven engine core. Every stage enqueues its own next
+// activation into a calendar — completions, store-buffer window flushes,
+// dispatch delays, fetch unblocks, spawn holds, squash/kill edges — and the
+// engine advances directly to the earliest scheduled event instead of
+// executing every idle cycle.
 //
 // Soundness rests on one asymmetry: a SPURIOUS wake (the calendar names a
 // cycle where nothing happens) is harmless, because an executed inert cycle
@@ -17,11 +19,11 @@ import "fmt"
 // closes the same sample buckets with the same frozen snapshot. A LOST
 // wakeup (the calendar sleeps past a cycle where a stage could act) would
 // change simulated behaviour, so every mutation that can make a stage
-// actionable wakes the calendar, conservatively over-approximating the
-// polling scan clause for clause (the catalog lives in DESIGN.md §17). The
-// A/B equivalence suite pins event and polling runs bit-identical, and
-// FuzzEventSchedule cross-checks the calendar against nextWake on every
-// jump.
+// actionable wakes the calendar (the catalog lives in DESIGN.md §17). The
+// A/B equivalence suite pins event runs bit-identical to the plain
+// per-cycle loop (Config.DisableEventQueue), and the check mode (evqCheck)
+// executes every range the calendar declares inert and panics if any cycle
+// in it changes machine state.
 //
 // eqWindow is the calendar horizon in cycles. Every enqueue is clamped to
 // at most eqWindow cycles ahead, which buys two properties at the price of
@@ -116,7 +118,8 @@ func (q *eventQueue) popTop() int64 {
 func (q *eventQueue) depth() int { return len(q.heap) }
 
 // wake schedules the calendar for cycle c (clamped to the future). Nil-safe
-// in polling mode so the stage code can announce edges unconditionally.
+// on the per-cycle loop so the stage code can announce edges
+// unconditionally.
 func (e *Engine) wake(c int64) {
 	if e.evq == nil {
 		return
@@ -132,23 +135,21 @@ func (e *Engine) wake(c int64) {
 // rediscover than to track through every mutation. This is the other half
 // of the horizon-clamp contract in add(): a far edge's clamped hop is only
 // sound because the edge's owner re-announces it on each executed cycle
-// until it is inside the horizon. The standing edges, mirroring nextWake
-// clause for clause:
+// until it is inside the horizon. The standing edges:
 //
 //   - per-thread front-end edges: a fetch-eligible thread (or one gated
 //     only by a known fetchBlocked cycle, which mem-jitter faults can push
 //     past the horizon), and a squashed fetch-buffer head awaiting its free
-//     consumption by dispatch (the polling scan treats that head as
-//     activity even under a spawn hold, so the event engine chains through
-//     the same cycles rather than sleeping past them);
+//     consumption by dispatch (dispatch consumes it even under a spawn
+//     hold, so the calendar chains through those cycles rather than
+//     sleeping past them);
 //   - stuck issue-queue slots: fault-injected stuckUntil cycles reach 120k
 //     cycles out, dwarfing the horizon;
 //   - the earliest pending completion, which memory-jitter faults can
 //     delay past the horizon;
 //   - pending store-buffer windows: their minimum-flush edge can be past
-//     due while the window waits on another condition, and the polling
-//     scan refuses to jump in that state, so the event engine must keep
-//     waking cycle by cycle to match it.
+//     due while the window waits on another condition, so the calendar
+//     keeps waking cycle by cycle until the flush happens.
 //
 // Cost is O(live threads + waiting uops + pending windows) per executed
 // cycle — cache-linear over the SoA mirrors — and the dedup ring absorbs
@@ -192,30 +193,23 @@ func (e *Engine) wakeStandingEdges() {
 	}
 }
 
-// eventForward is the calendar counterpart of fastForward: it retires the
-// cycle's fired entries and jumps `now` to the cycle before the earliest
-// pending event, bounded by the same computed edges the polling scan uses
-// (the commit-progress watchdog, the Observe poll, the audit stride, the
-// cycle budget). The skipped range is provably inert — every actionable
-// cycle has a calendar entry, by the wake-edge catalog — so its only
-// effects are replayed exactly as fastForward replays them: one
-// FetchBlocked count per skipped cycle and the telemetry sampler's
-// idle-range bucket closes.
+// eventForward retires the cycle's fired entries and jumps `now` to the
+// cycle before the earliest pending event, bounded by the computed edges
+// that are functions of `now` rather than of machine state (the
+// commit-progress watchdog, the Observe poll, the audit stride, the cycle
+// budget). The skipped range is provably inert — every actionable cycle
+// has a calendar entry, by the wake-edge catalog — so its only effects are
+// replayed arithmetically: one FetchBlocked count per skipped cycle and
+// the telemetry sampler's idle-range bucket closes.
 func (e *Engine) eventForward() {
 	q := e.evq
 	q.drain(e.now)
-	if e.noFF {
-		// A/B leg: keep the calendar bounded (drained above) but execute
-		// every cycle, exactly like polling with fast-forward off. The
-		// standing-edge refresh is jump bookkeeping, so it is skipped too.
-		return
-	}
-	if len(q.heap) > 0 && q.heap[0] == e.now+1 && !e.evqCheck {
+	if len(q.heap) > 0 && q.heap[0] == e.now+1 {
 		// Something is already scheduled next cycle, so no jump is
 		// possible and the standing-edge refresh can wait: far edges only
 		// need to be current when a jump target is computed, and the next
 		// executed cycle re-evaluates from scratch. This is the busy-phase
-		// fast path — the polling scan's early exit, in calendar form.
+		// fast path.
 		return
 	}
 	e.wakeStandingEdges()
@@ -234,9 +228,6 @@ func (e *Engine) eventForward() {
 			wake = a
 		}
 	}
-	if e.evqCheck {
-		e.crossCheckWake(wake)
-	}
 	target := wake - 1
 	// Never skip past the cycle-budget boundary: the per-cycle machine
 	// still executes cycle MaxCycles before stopping.
@@ -246,31 +237,87 @@ func (e *Engine) eventForward() {
 	if target <= e.now {
 		return
 	}
+	if e.evqCheck {
+		// Check mode: execute the declared range instead (checkInert).
+		e.inertUntil = target
+		e.inertRef = e.fingerprint()
+		return
+	}
 	if e.tel != nil {
 		e.telemetrySkip(e.now+1, target)
 	}
 	skipped := uint64(target - e.now)
 	e.st.FetchBlocked += skipped
-	e.ffSkipped += skipped
+	e.skipped += skipped
 	e.now = target
 }
 
-// crossCheckWake validates a calendar-proposed wake cycle against the
-// polling quiescence scan (enabled by tests and FuzzEventSchedule; never in
-// production runs). A lost wakeup — the calendar sleeping past a cycle
-// where a stage could act — is the one bug class that would silently change
-// simulated behaviour, so it panics loudly instead.
-func (e *Engine) crossCheckWake(wake int64) {
-	scan, quiet := e.nextWake()
-	if !quiet {
-		if wake > e.now+1 {
-			panic(fmt.Sprintf("pipeline: lost wakeup at cycle %d: a stage can act at cycle %d but the earliest event is %d",
-				e.now, e.now+1, wake))
+// inertPrint fingerprints everything a stage changes when it acts: the
+// statistics, the uop sequence counter, the shared occupancies, the
+// completion and window backlogs, and hashes over each live thread's
+// front-end and ROB cursors and fetch gates and over the waiting uops.
+// Only slots still in stWaiting are hashed: dropping stale slots from a
+// waiting list is housekeeping, not a stage acting.
+type inertPrint struct {
+	st                            stats.Stats
+	seqCtr                        uint64
+	robUsed, renameUsed, sharedSB int
+	qUsed                         [numQueues]int
+	completions, windows          int
+	threadHash, waitHash          uint64
+}
+
+// mix folds v into h, FNV-1a style over whole words.
+func mix(h, v uint64) uint64 { return (h ^ v) * 0x100000001b3 }
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (e *Engine) fingerprint() inertPrint {
+	p := inertPrint{
+		st:          *e.st,
+		seqCtr:      e.seqCtr,
+		robUsed:     e.robUsed,
+		renameUsed:  e.renameUsed,
+		sharedSB:    e.sharedStoreUsed,
+		qUsed:       e.qUsed,
+		completions: len(e.completions.items),
+		windows:     len(e.pendingWindows),
+	}
+	for _, t := range e.ordered {
+		for _, v := range [...]uint64{
+			uint64(t.id), uint64(t.robHead), uint64(len(t.rob)),
+			uint64(t.fbHead), uint64(len(t.fetchBuf)), uint64(t.ctx.PC),
+			uint64(t.fetchBlocked), uint64(t.dispatchHold), b2u(t.blockedOn != nil),
+			b2u(t.stallFetch), b2u(t.retiring), b2u(t.ctx.Halted),
+		} {
+			p.threadHash = mix(p.threadHash, v)
 		}
-		return
 	}
-	if wake > scan {
-		panic(fmt.Sprintf("pipeline: lost wakeup at cycle %d: polling scan wakes at %d but the earliest event is %d",
-			e.now, scan, wake))
+	for k := queueKind(0); k < numQueues; k++ {
+		for _, s := range e.waiting[k] {
+			if e.soaState[s] == stWaiting {
+				p.waitHash = mix(mix(p.waitHash, uint64(s)), uint64(e.soaStuck[s]))
+			}
+		}
 	}
+	return p
+}
+
+// checkInert verifies, in check mode, that the cycle just executed was as
+// inert as the calendar declared: nothing changed but the one FetchBlocked
+// count a skipped cycle is charged. A lost wakeup — the calendar sleeping
+// past a cycle where a stage could act — is the one bug class that would
+// silently change simulated behaviour, so it panics loudly instead.
+func (e *Engine) checkInert() {
+	e.inertRef.st.FetchBlocked++
+	if got := e.fingerprint(); got != e.inertRef {
+		panic(fmt.Sprintf("pipeline: lost wakeup at cycle %d: the calendar declared cycles through %d inert, but the machine changed state\nwant %+v\ngot  %+v",
+			e.now, e.inertUntil, e.inertRef, got))
+	}
+	e.skipped++
 }

@@ -77,26 +77,27 @@ func TestEventQueueUnit(t *testing.T) {
 // counter set (including Cycles), architectural registers, halt status, the
 // telemetry time series, and any structured abort.
 type abOutcome struct {
-	st     stats.Stats
-	regs   [isa.NumRegs]uint64
-	regsOK bool
-	halted bool
-	now    int64
-	points []telemetry.Point
-	ff     uint64
-	errStr string
+	st      stats.Stats
+	regs    [isa.NumRegs]uint64
+	regsOK  bool
+	halted  bool
+	now     int64
+	points  []telemetry.Point
+	skipped uint64
+	errStr  string
 }
 
-func runAB(t *testing.T, cfg config.Config, bench workload.Benchmark, polling, noFF bool) abOutcome {
+// runAB runs bench under cfg (whose DisableEventQueue picks the scheduler)
+// with a telemetry probe attached; check arms the inert-cycle check.
+func runAB(t *testing.T, cfg config.Config, bench workload.Benchmark, check bool) abOutcome {
 	t.Helper()
-	cfg.DisableEventQueue = polling
-	cfg.DisableFastForward = noFF
 	prog, image := bench.Build(1)
 	st := &stats.Stats{}
 	eng, err := New(&cfg, prog, image, st)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.evqCheck = check
 	sampler := telemetry.NewSampler(0)
 	eng.SetTelemetry(telemetry.NewMachine(nil, sampler))
 	out := abOutcome{}
@@ -111,35 +112,33 @@ func runAB(t *testing.T, cfg config.Config, bench workload.Benchmark, polling, n
 	out.halted = eng.Halted()
 	out.now = eng.now
 	out.points = sampler.Points()
-	out.ff = eng.ffSkipped
+	out.skipped = eng.skipped
 	return out
 }
 
-func compareAB(t *testing.T, event, polling abOutcome) {
+func compareAB(t *testing.T, a, b abOutcome) {
 	t.Helper()
-	if event.st != polling.st {
-		t.Errorf("stats diverge:\nevent:   %+v\npolling: %+v", event.st, polling.st)
+	if a.st != b.st {
+		t.Errorf("stats diverge:\n%+v\n%+v", a.st, b.st)
 	}
-	if event.now != polling.now {
-		t.Errorf("final cycle diverges: event=%d polling=%d", event.now, polling.now)
+	if a.now != b.now {
+		t.Errorf("final cycle diverges: %d vs %d", a.now, b.now)
 	}
-	if event.regsOK != polling.regsOK || event.regs != polling.regs {
-		t.Errorf("architectural registers diverge:\nevent:   ok=%v %v\npolling: ok=%v %v",
-			event.regsOK, event.regs, polling.regsOK, polling.regs)
+	if a.regsOK != b.regsOK || a.regs != b.regs {
+		t.Errorf("architectural registers diverge:\nok=%v %v\nok=%v %v",
+			a.regsOK, a.regs, b.regsOK, b.regs)
 	}
-	if event.halted != polling.halted {
-		t.Errorf("halted diverges: event=%v polling=%v", event.halted, polling.halted)
+	if a.halted != b.halted {
+		t.Errorf("halted diverges: %v vs %v", a.halted, b.halted)
 	}
-	if event.errStr != polling.errStr {
-		t.Errorf("run error diverges:\nevent:   %q\npolling: %q", event.errStr, polling.errStr)
+	if a.errStr != b.errStr {
+		t.Errorf("run error diverges:\n%q\n%q", a.errStr, b.errStr)
 	}
-	if !reflect.DeepEqual(event.points, polling.points) {
-		t.Errorf("telemetry time series diverge: event has %d points, polling has %d",
-			len(event.points), len(polling.points))
-		for i := range event.points {
-			if i < len(polling.points) && event.points[i] != polling.points[i] {
-				t.Errorf("first divergent point %d:\nevent:   %+v\npolling: %+v",
-					i, event.points[i], polling.points[i])
+	if !reflect.DeepEqual(a.points, b.points) {
+		t.Errorf("telemetry time series diverge: %d points vs %d", len(a.points), len(b.points))
+		for i := range a.points {
+			if i < len(b.points) && a.points[i] != b.points[i] {
+				t.Errorf("first divergent point %d:\n%+v\n%+v", i, a.points[i], b.points[i])
 				break
 			}
 		}
@@ -228,78 +227,65 @@ func abCases() []struct {
 }
 
 // TestEventQueueIsInvisible is the event engine's A/B guarantee: for every
-// archetype, with fast-forward both on and off, the event-driven scheduler
-// must be bit-identical to the polling scan — statistics (including the
-// final cycle count), architectural registers, telemetry time series, and
-// structured aborts. With fast-forward on, the calendar jump must actually
-// engage or the comparison is vacuous.
+// archetype, the event-driven scheduler must be bit-identical to the plain
+// per-cycle loop — statistics (including the final cycle count),
+// architectural registers, telemetry time series, and structured aborts.
+// The calendar jump must actually engage or the comparison is vacuous.
 func TestEventQueueIsInvisible(t *testing.T) {
-	t.Setenv("MTVP_NO_FASTFWD", "")
-	t.Setenv("MTVP_NO_EVENTQ", "")
-
-	for _, c := range abCases() {
-		for _, noFF := range []bool{false, true} {
-			name := c.name
-			if noFF {
-				name += "/noff"
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := c.cfg()
-				cfg.MaxInsts = 1 << 62
-				cfg.MaxCycles = c.cycles
-
-				event := runAB(t, cfg, c.bench, false, noFF)
-				polling := runAB(t, cfg, c.bench, true, noFF)
-
-				if !noFF && event.ff == 0 && c.name != "halting-baseline" {
-					t.Errorf("event scheduler never jumped (ffSkipped = 0); comparison is vacuous")
-				}
-				if noFF && (event.ff != 0 || polling.ff != 0) {
-					t.Errorf("noFF legs skipped cycles: event=%d polling=%d", event.ff, polling.ff)
-				}
-				if c.name == "halting-baseline" && !event.halted {
-					t.Errorf("halting case did not halt; finishing-cycle pin is vacuous")
-				}
-				compareAB(t, event, polling)
-			})
-		}
-	}
-}
-
-// TestEventScheduleCrossCheck runs the event engine with the calendar
-// cross-checked against the polling quiescence scan on every jump: any
-// sleep past a cycle where a stage could act panics. This is the directed
-// (non-fuzz) lost-wakeup hunt over the same archetype sweep.
-func TestEventScheduleCrossCheck(t *testing.T) {
-	t.Setenv("MTVP_NO_FASTFWD", "")
-	t.Setenv("MTVP_NO_EVENTQ", "")
-
 	for _, c := range abCases() {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg()
 			cfg.MaxInsts = 1 << 62
 			cfg.MaxCycles = c.cycles
-			prog, image := c.bench.Build(1)
-			st := &stats.Stats{}
-			eng, err := New(&cfg, prog, image, st)
-			if err != nil {
-				t.Fatal(err)
+
+			event := runAB(t, cfg, c.bench, false)
+			cfg.DisableEventQueue = true
+			cycle := runAB(t, cfg, c.bench, false)
+
+			if event.skipped == 0 {
+				t.Errorf("event scheduler never jumped (skipped = 0); comparison is vacuous")
 			}
-			if eng.evq == nil {
-				t.Fatal("event scheduler not active")
+			if cycle.skipped != 0 {
+				t.Errorf("per-cycle loop skipped %d cycles", cycle.skipped)
 			}
-			eng.evqCheck = true
-			if err := eng.Run(); err != nil {
-				t.Logf("run ended with structured error (acceptable): %v", err)
+			if c.name == "halting-baseline" && !event.halted {
+				t.Errorf("halting case did not halt; finishing-cycle pin is vacuous")
 			}
+			compareAB(t, event, cycle)
+		})
+	}
+}
+
+// TestEventScheduleCrossCheck runs every archetype twice on the event
+// engine: once in production, once with the inert-cycle check armed, which
+// executes every cycle the calendar would skip and panics if one changes
+// machine state. The check must follow the production schedule exactly:
+// the cycles it verifies are the cycles production skips, and the two runs
+// are bit-identical.
+func TestEventScheduleCrossCheck(t *testing.T) {
+	for _, c := range abCases() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg()
+			cfg.MaxInsts = 1 << 62
+			cfg.MaxCycles = c.cycles
+
+			prod := runAB(t, cfg, c.bench, false)
+			checked := runAB(t, cfg, c.bench, true)
+
+			if checked.skipped != prod.skipped || prod.skipped == 0 {
+				t.Errorf("verified %d inert cycles, production skips %d; want equal and nonzero",
+					checked.skipped, prod.skipped)
+			}
+			t.Logf("%d cycles verified inert", checked.skipped)
+			compareAB(t, checked, prod)
 		})
 	}
 }
 
 // FuzzEventSchedule fuzzes workload shape, machine size, and fault seeding,
-// asserting the calendar never sleeps past a ready stage (the cross-check
-// panics on a lost wakeup) and that the event run matches a polling run of
-// the same machine exactly.
+// asserting the calendar never sleeps past a ready stage (the inert-cycle
+// check panics on a lost wakeup) and that the event run matches a run of
+// the same machine on the plain per-cycle loop exactly.
 func FuzzEventSchedule(f *testing.F) {
 	f.Add(uint8(2), uint16(256), uint8(60), uint8(30), uint8(4), uint8(0), uint32(1))
 	f.Add(uint8(4), uint16(1024), uint8(20), uint8(10), uint8(8), uint8(1), uint32(7))
@@ -327,44 +313,10 @@ func FuzzEventSchedule(f *testing.F) {
 		cfg.Faults.Profile = profiles[int(profIdx)%len(profiles)]
 		cfg.Faults.Seed = uint64(seed)
 
-		// Event run with the lost-wakeup cross-check armed.
-		prog, image := bench.Build(1)
-		st := &stats.Stats{}
-		eng, err := New(&cfg, prog, image, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.evqCheck = true
-		var evErr string
-		if err := eng.Run(); err != nil {
-			evErr = err.Error()
-		}
-
-		// Polling reference run.
-		cfg2 := cfg
-		cfg2.DisableEventQueue = true
-		prog2, image2 := bench.Build(1)
-		st2 := &stats.Stats{}
-		eng2, err := New(&cfg2, prog2, image2, st2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var polErr string
-		if err := eng2.Run(); err != nil {
-			polErr = err.Error()
-		}
-
-		if *st != *st2 {
-			t.Fatalf("stats diverge:\nevent:   %+v\npolling: %+v", *st, *st2)
-		}
-		if evErr != polErr {
-			t.Fatalf("run error diverges: event=%q polling=%q", evErr, polErr)
-		}
-		r1, ok1 := eng.ArchRegs()
-		r2, ok2 := eng2.ArchRegs()
-		if ok1 != ok2 || r1 != r2 {
-			t.Fatalf("architectural registers diverge")
-		}
+		event := runAB(t, cfg, bench, true) // inert-cycle check armed
+		cfg.DisableEventQueue = true
+		cycle := runAB(t, cfg, bench, false)
+		compareAB(t, event, cycle)
 	})
 }
 

@@ -26,10 +26,9 @@ import (
 // object prefix, Emit appends events, Close writes the suffix. A sink that
 // is never Closed is not valid JSON.
 type PerfettoSink struct {
-	tw      *TraceWriter
-	named   map[int]bool  // context tracks already given a thread_name
-	open    map[int64]int // speculation order -> tid of an open spawn slice
-	procSet bool
+	tw    *TraceWriter
+	named map[int]bool  // context tracks already given a thread_name
+	open  map[int64]int // speculation order -> tid of an open spawn slice
 }
 
 // machineTID is the synthetic track for machine-level events that carry no
@@ -47,26 +46,22 @@ func NewPerfettoSink(w io.Writer) *PerfettoSink {
 
 func (s *PerfettoSink) write(te TraceEvent) { s.tw.Emit(te) }
 
-// nameTrack emits the one-time metadata events naming a context's track.
+// nameTrack emits the one-time metadata events naming a context's track;
+// the first track named also names the process.
 func (s *PerfettoSink) nameTrack(tid int) {
 	if s.named[tid] {
 		return
 	}
 	s.named[tid] = true
-	if !s.procSet {
-		s.procSet = true
-		s.write(TraceEvent{Name: "process_name", Ph: "M", PID: 0, TID: tid,
-			Args: map[string]any{"name": "mtvp machine"}})
+	process := ""
+	if len(s.named) == 1 {
+		process = "mtvp machine"
 	}
 	label := fmt.Sprintf("ctx %d", tid)
 	if tid == machineTID {
 		label = "machine"
 	}
-	s.write(TraceEvent{Name: "thread_name", Ph: "M", PID: 0, TID: tid,
-		Args: map[string]any{"name": label}})
-	// Sort context tracks by id.
-	s.write(TraceEvent{Name: "thread_sort_index", Ph: "M", PID: 0, TID: tid,
-		Args: map[string]any{"sort_index": tid}})
+	s.tw.NameTrack(process, tid, label)
 }
 
 // Emit implements trace.Tracer.

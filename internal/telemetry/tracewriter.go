@@ -66,6 +66,21 @@ func (t *TraceWriter) Emit(te TraceEvent) {
 	t.n++
 }
 
+// NameTrack emits the metadata events that label track tid of process 0:
+// its thread_name and a thread_sort_index equal to tid, so tracks sort by
+// id. A non-empty process also names the process first (the event is
+// attributed to tid); exporters pass it with their first track only.
+func (t *TraceWriter) NameTrack(process string, tid int, name string) {
+	if process != "" {
+		t.Emit(TraceEvent{Name: "process_name", Ph: "M", PID: 0, TID: tid,
+			Args: map[string]any{"name": process}})
+	}
+	t.Emit(TraceEvent{Name: "thread_name", Ph: "M", PID: 0, TID: tid,
+		Args: map[string]any{"name": name}})
+	t.Emit(TraceEvent{Name: "thread_sort_index", Ph: "M", PID: 0, TID: tid,
+		Args: map[string]any{"sort_index": tid}})
+}
+
 // Close writes the JSON suffix and flushes. The writer must not be used
 // afterwards.
 func (t *TraceWriter) Close() error {
