@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,12 +12,27 @@ import (
 	"mtvp/internal/telemetry"
 )
 
-// fakeClock drives lease expiry deterministically.
-type fakeClock struct{ t time.Time }
+// fakeClock drives lease expiry deterministically. The coordinator's HTTP
+// handlers read it from their own goroutines while the test advances it, so
+// it is guarded.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (f *fakeClock) now() time.Time             { return f.t }
-func (f *fakeClock) advance(d time.Duration)    { f.t = f.t.Add(d) }
-func newFakeClock() *fakeClock                  { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (f *fakeClock) now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *fakeClock) advance(d time.Duration) {
+	f.mu.Lock()
+	f.t = f.t.Add(d)
+	f.mu.Unlock()
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 
 func testSpec(name string, n int) CampaignSpec {
 	spec := CampaignSpec{Name: name, Fingerprint: "fp"}

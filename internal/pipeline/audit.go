@@ -202,5 +202,28 @@ func (e *Engine) auditScan() {
 	}
 	if e.cfg.VP.SharedStoreBuf && storeN != e.sharedStoreUsed {
 		e.auditFail("shared store buffer occupancy %d, recount %d", e.sharedStoreUsed, storeN)
+		return
+	}
+	e.auditWakeup()
+}
+
+// auditWakeup is the brute-force reference for the issue stage's producer
+// wakeup, which the event-vs-cycle A/B suites share and so cannot check: a
+// waiting, unstuck uop with every producer and forwarding store ready must
+// be a candidate in its waiting list (ready uops stay there until they
+// issue), or no issue scan would ever find it again.
+func (e *Engine) auditWakeup() {
+	candidate := make(map[int32]bool)
+	for q := queueKind(0); q < numQueues; q++ {
+		for _, s := range e.waiting[q] {
+			candidate[s] = true
+		}
+	}
+	for s, u := range e.slotUops {
+		if e.soaState[s] == stWaiting && e.soaStuck[s] <= e.now && !candidate[int32(s)] && blocker(u) == nil {
+			e.auditFail("T%d/%d seq %d (pc %d) is ready but not an issue candidate: lost issue wakeup",
+				u.thread.id, u.thread.order, u.seq, u.ex.PC)
+			return
+		}
 	}
 }

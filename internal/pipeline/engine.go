@@ -45,7 +45,7 @@ type Engine struct {
 	sharedStoreUsed int // occupancy of the unified tagged store buffer
 	qUsed           [numQueues]int
 	qCap            [numQueues]int
-	waiting         [numQueues][]int32 // uop pool slots (see the SoA arrays)
+	waiting         [numQueues][]int32 // issue candidates' pool slots (see the SoA arrays)
 	completions     uopHeap
 
 	// Struct-of-arrays storage for the scheduler's hot uop fields, indexed

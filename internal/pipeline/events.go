@@ -255,15 +255,17 @@ func (e *Engine) eventForward() {
 // inertPrint fingerprints everything a stage changes when it acts: the
 // statistics, the uop sequence counter, the shared occupancies, the
 // completion and window backlogs, and hashes over each live thread's
-// front-end and ROB cursors and fetch gates and over the waiting uops.
-// Only slots still in stWaiting are hashed: dropping stale slots from a
-// waiting list is housekeeping, not a stage acting.
+// front-end and ROB cursors and fetch gates and over the waiting uops:
+// the candidates in each waiting list, and every parked uop with the
+// producer it is parked on. Only slots still in stWaiting are hashed:
+// dropping stale slots from a waiting list is housekeeping, not a stage
+// acting.
 type inertPrint struct {
 	st                            stats.Stats
 	seqCtr                        uint64
 	robUsed, renameUsed, sharedSB int
 	qUsed                         [numQueues]int
-	completions, windows          int
+	completions, windows, parked  int
 	threadHash, waitHash          uint64
 }
 
@@ -303,6 +305,12 @@ func (e *Engine) fingerprint() inertPrint {
 			if e.soaState[s] == stWaiting {
 				p.waitHash = mix(mix(p.waitHash, uint64(s)), uint64(e.soaStuck[s]))
 			}
+		}
+	}
+	for s, u := range e.slotUops {
+		if e.soaState[s] == stWaiting && u.parkedOn != nil {
+			p.parked++
+			p.waitHash = mix(mix(p.waitHash, uint64(s)), uint64(u.parkedOn.slot))
 		}
 	}
 	return p

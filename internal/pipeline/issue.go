@@ -11,24 +11,33 @@ import (
 // issue selects ready instructions oldest-first across the shared queues,
 // subject to the total issue width and per-class limits (6 integer, 2 FP,
 // 4 load/store), and schedules their completions.
+// The waiting lists hold only candidates: the scan drops slots no longer
+// waiting, keeps stuck and ready ones, and parks the rest on their first
+// blocking producer until setUopState unparks them, so it costs
+// O(candidates), not O(queue occupancy).
 func (e *Engine) issue() {
 	total := e.cfg.IssueWidth
 	intLeft, fpLeft, memLeft := e.cfg.IntIssue, e.cfg.FPIssue, e.cfg.MemIssue
 
 	ready := e.readyBuf[:0]
 	for q := queueKind(0); q < numQueues; q++ {
-		e.compactQueue(q)
-		// The scan-and-wake loop reads only the flat SoA mirrors until a
-		// candidate passes the state and stick checks; the uop struct
-		// itself is touched just for the operand-readiness walk.
+		kept := e.waiting[q][:0]
 		for _, s := range e.waiting[q] {
-			if e.soaState[s] != stWaiting || e.soaStuck[s] > e.now {
+			if e.soaState[s] != stWaiting {
 				continue
 			}
-			if u := e.slotUops[s]; e.uopReady(u) {
+			if e.soaStuck[s] <= e.now {
+				u := e.slotUops[s]
+				if p := blocker(u); p != nil {
+					u.parkedOn = p
+					p.waiters = append(p.waiters, s)
+					continue
+				}
 				ready = append(ready, u)
 			}
+			kept = append(kept, s)
 		}
+		e.waiting[q] = kept
 	}
 	e.readyBuf = ready
 	sort.Sort((*uopsBySeq)(&e.readyBuf))
@@ -65,18 +74,33 @@ func (e *Engine) issue() {
 	}
 }
 
-// uopReady reports whether all of u's producers have results (or offer
-// speculative ones) and any forwarding store has executed.
-func (e *Engine) uopReady(u *uop) bool {
+// blocker returns the first of u's producers, then its forwarding store,
+// that has no result yet (producerReady), or nil when u is ready to issue.
+func blocker(u *uop) *uop {
 	for _, pr := range u.prods {
 		if p := pr.get(); p != nil && !producerReady(p) {
-			return false
+			return p
 		}
 	}
 	if f := u.fwdFrom.get(); f != nil && !producerReady(f) {
-		return false
+		return f
 	}
-	return true
+	return nil
+}
+
+// unpark returns the uops parked on p, which has just become ready, to
+// their waiting lists. Entries whose uop is no longer parked on p are
+// ghosts (pool.go); squashed waiters are released but not re-queued.
+func (e *Engine) unpark(p *uop) {
+	for _, s := range p.waiters {
+		if u := e.slotUops[s]; u.parkedOn == p {
+			u.parkedOn = nil
+			if u.state == stWaiting {
+				e.waiting[u.queue] = append(e.waiting[u.queue], s)
+			}
+		}
+	}
+	p.waiters = p.waiters[:0]
 }
 
 func (e *Engine) issueOne(u *uop) {
@@ -134,15 +158,4 @@ func (e *Engine) latencyOf(u *uop) int64 {
 	default:
 		return int64(cfg.LatIntALU)
 	}
-}
-
-// compactQueue drops issued and squashed uops from a waiting list.
-func (e *Engine) compactQueue(q queueKind) {
-	w := e.waiting[q][:0]
-	for _, s := range e.waiting[q] {
-		if e.soaState[s] == stWaiting {
-			w = append(w, s)
-		}
-	}
-	e.waiting[q] = w
 }

@@ -8,15 +8,17 @@ package pipeline
 //
 //   - A uop may be freed only once it is stCommitted or stSquashed and has
 //     been removed from every engine-owned container that stores bare
-//     pointers (its thread's rob, fetchBuf, storeQ, and — by the
-//     stage-ordering argument below — the waiting lists).
+//     pointers (its thread's rob, fetchBuf, storeQ). Slot lists — the
+//     waiting lists and producers' waiters — may still name it (ghosts).
 //   - Fields are reset at ALLOCATION, not at free. Between free and reuse
-//     the carcass keeps its terminal state, so any ghost entry still
-//     naming it (a waiting-list slot not yet compacted) reads
-//     stCommitted/stSquashed and drops it, just as it would have before
-//     pooling. Frees happen in the commit/complete stages (and in the
-//     end-of-cycle recovery path); reuse happens only in the fetch stage,
-//     which every ghost-purging compactQueue pass precedes.
+//     the carcass keeps its terminal state. Frees happen in the
+//     commit/complete stages (and in the end-of-cycle recovery path);
+//     reuse happens only in the fetch stage, after every executed cycle's
+//     issue scan has dropped each non-waiting slot from the waiting lists.
+//   - Waiters ghosts (a parked uop since squashed, a reissued uop parked
+//     twice) are rejected at unpark: parkedOn is cleared at unpark and at
+//     allocation, so an entry matches only its slot's current park. A
+//     producer unparks before it can be freed.
 //   - gen is bumped at free, invalidating every uopRef into the old
 //     lifetime. issueGen is never reset: completion-heap entries from a
 //     previous lifetime can therefore never match a recycled uop.
@@ -38,8 +40,8 @@ func (e *Engine) allocUop() *uop {
 	e.uopFree[n-1] = nil
 	e.uopFree = e.uopFree[:n-1]
 	gen, issueGen, slot := u.gen, u.issueGen, u.slot
-	prods, consumers := u.prods[:0], u.consumers[:0]
-	*u = uop{gen: gen, issueGen: issueGen, slot: slot, prods: prods, consumers: consumers}
+	prods, consumers, waiters := u.prods[:0], u.consumers[:0], u.waiters[:0]
+	*u = uop{gen: gen, issueGen: issueGen, slot: slot, prods: prods, consumers: consumers, waiters: waiters}
 	e.soaState[slot] = stFetched
 	e.soaStuck[slot] = 0
 	return u
@@ -48,10 +50,14 @@ func (e *Engine) allocUop() *uop {
 // setUopState is the single write path for a uop's pipeline state, keeping
 // the struct field and the slot-indexed mirror in lockstep. The mirror is
 // what the issue scan, the calendar's standing-edge refresh and the
-// inert-cycle check read.
+// inert-cycle check read. Reaching stDone, stCommitted or stSquashed (all
+// producerReady) releases the uops parked on u.
 func (e *Engine) setUopState(u *uop, s uopState) {
 	u.state = s
 	e.soaState[u.slot] = s
+	if s >= stDone && len(u.waiters) > 0 {
+		e.unpark(u)
+	}
 }
 
 // setStuckUntil is the single write path for a uop's IQStick deadline,

@@ -70,9 +70,11 @@ type uop struct {
 	dispatchCycle int64
 	doneCycle     int64
 
-	pendingSrcs int
-	prods       []uopRef // producers this uop waited on (for reissue)
-	consumers   []uopRef // uops that depend on this one's result
+	prods     []uopRef // producers this uop waited on (for reissue)
+	consumers []uopRef // uops that depend on this one's result
+
+	parkedOn *uop    // unready producer this waiting uop is parked on (nil = issue candidate)
+	waiters  []int32 // pool slots of the uops parked on this one
 
 	// Memory.
 	fwdFrom  uopRef // store this load forwards from (zero = cache access)

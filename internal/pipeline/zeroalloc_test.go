@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"mtvp/internal/asm"
@@ -48,16 +49,19 @@ func missRing(nodes int) (*isa.Program, *mem.Memory) {
 // the engine is warm (slices at capacity, uop pool populated, overlay keys
 // touched, calendar heap at depth), a simulated cycle must not allocate at
 // all — neither on the commit-every-cycle path nor on the calendar's
-// idle-skipping path.
+// idle-skipping path. The pin is exact: the process's heap-object count
+// must not move across measureCycles warm cycles.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warmup is a few hundred ms per case")
 	}
+	const measureCycles = 20_000
 
 	cases := []struct {
 		name  string
 		build func() (*isa.Program, *mem.Memory)
 		warm  int
+		parks bool // the case must exercise issue wakeup (park and unpark)
 	}{
 		{
 			// DL1-resident chase, commits nearly every cycle: exercises
@@ -71,7 +75,8 @@ func TestZeroAllocSteadyState(t *testing.T) {
 					DominantPct: 60, ReusePct: 30, SeqPct: 90, BodyOps: 12, Iters: 1 << 40,
 				}).Build(1)
 			},
-			warm: 80_000,
+			warm:  80_000,
+			parks: true,
 		},
 		{
 			// Load-only miss ring: ~1000 idle cycles per chase step, all
@@ -102,17 +107,34 @@ func TestZeroAllocSteadyState(t *testing.T) {
 					t.Fatalf("warmup ended early at cycle %d: stop=%v err=%v", eng.now, stop, err)
 				}
 			}
-			avg := testing.AllocsPerRun(300, func() {
-				if _, err := eng.runCycle(); err != nil {
-					t.Fatal(err)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < measureCycles; i++ {
+				if stop, err := eng.runCycle(); err != nil || stop {
+					t.Fatalf("measured run ended early at cycle %d: stop=%v err=%v", eng.now, stop, err)
 				}
-			})
-			if avg != 0 {
-				t.Errorf("steady-state cycle allocates: %.2f allocs/cycle", avg)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("steady state allocates: %d heap objects over %d cycles", n, measureCycles)
 			}
 			if st.Committed == 0 {
 				t.Fatal("workload committed nothing; the steady state measured is vacuous")
 			}
+			if c.parks && !everParked(eng) {
+				t.Fatal("no uop ever parked on a producer; the issue wakeup path went unmeasured")
+			}
 		})
 	}
+}
+
+// everParked reports whether any pooled uop has ever held a parked waiter:
+// waiters only grows at a park, and allocUop keeps its backing array.
+func everParked(e *Engine) bool {
+	for _, u := range e.slotUops {
+		if cap(u.waiters) > 0 {
+			return true
+		}
+	}
+	return false
 }
